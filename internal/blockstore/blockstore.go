@@ -9,8 +9,9 @@
 //
 // Two implementations exist. MemStore holds everything resident, the
 // historical behaviour. SpillStore adds a configurable memory budget:
-// when resident bytes exceed it, the coldest outputs are gob-encoded to
-// per-store temp files and transparently reloaded on their next read, so
+// when resident bytes exceed it, the coldest outputs are written to
+// per-store temp files in the rdd record codec (rdd.EncodeRecords) and
+// transparently reloaded on their next read, so
 // an aggregator that concentrates a whole job's shuffle input (the
 // paper's Push/Aggregate design) is bounded by disk, not by resident
 // heap. Both feed the same byte Accountant, which observability planes

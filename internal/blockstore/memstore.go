@@ -20,8 +20,21 @@ func (e *memEntry) flatten() []rdd.Pair {
 	if e.shards == nil {
 		return e.flat
 	}
-	var out []rdd.Pair
-	for _, shard := range e.shards {
+	return concatShards(e.shards)
+}
+
+// concatShards joins shards into one flat record list, allocated once;
+// nil when every shard is empty.
+func concatShards(shards [][]rdd.Pair) []rdd.Pair {
+	n := 0
+	for _, shard := range shards {
+		n += len(shard)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]rdd.Pair, 0, n)
+	for _, shard := range shards {
 		out = append(out, shard...)
 	}
 	return out

@@ -1,10 +1,9 @@
 package blockstore
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"wanshuffle/internal/rdd"
@@ -14,8 +13,9 @@ import (
 type SpillConfig struct {
 	// MemoryBudget is the resident-byte budget. Whenever resident bytes
 	// exceed it, the coldest outputs (least recently stored or read) are
-	// gob-encoded to temp files until the store fits again, and reloaded
-	// transparently on their next read. Must be positive.
+	// written to temp files in the rdd record codec until the store fits
+	// again, and reloaded transparently on their next read. Must be
+	// positive.
 	MemoryBudget int64
 	// Dir is where spill files live; each store creates (and removes on
 	// Close) its own subdirectory under it. Empty means the OS temp dir.
@@ -24,7 +24,7 @@ type SpillConfig struct {
 
 // spillEntry is one stored output, resident or on disk. While resident,
 // exactly one of flat/shards is non-nil; while spilled, both are nil and
-// path names the file holding the gob-encoded blob.
+// path names the file holding its encoding (see encodeSpill).
 type spillEntry struct {
 	attempt int
 	flat    []rdd.Pair
@@ -33,12 +33,6 @@ type spillEntry struct {
 	lastUse uint64
 	spilled bool
 	path    string
-}
-
-// spillBlob is the on-disk encoding of one output.
-type spillBlob struct {
-	Flat   []rdd.Pair
-	Shards [][]rdd.Pair
 }
 
 // SpillStore is the budgeted Store: outputs are resident until the memory
@@ -61,7 +55,6 @@ func NewSpillStore(cfg SpillConfig, acct *Accountant) (*SpillStore, error) {
 	if cfg.MemoryBudget <= 0 {
 		return nil, fmt.Errorf("blockstore: memory budget must be positive, got %d", cfg.MemoryBudget)
 	}
-	registerSpillGob()
 	dir, err := os.MkdirTemp(cfg.Dir, "wanshuffle-spill-")
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: creating spill dir: %w", err)
@@ -114,11 +107,7 @@ func (s *SpillStore) Get(key Key) ([]rdd.Pair, error) {
 	if e.shards == nil {
 		return e.flat, nil
 	}
-	var out []rdd.Pair
-	for _, shard := range e.shards {
-		out = append(out, shard...)
-	}
-	return out, nil
+	return concatShards(e.shards), nil
 }
 
 // Shards implements Store.
@@ -204,18 +193,16 @@ func (s *SpillStore) ensureResidentLocked(e *spillEntry) error {
 	if !e.spilled {
 		return nil
 	}
-	f, err := os.Open(e.path)
+	data, err := os.ReadFile(e.path)
 	if err != nil {
 		return fmt.Errorf("blockstore: reloading spilled output: %w", err)
 	}
-	var blob spillBlob
-	err = gob.NewDecoder(bufio.NewReader(f)).Decode(&blob)
-	_ = f.Close()
+	flat, shards, err := decodeSpill(data)
 	if err != nil {
 		return fmt.Errorf("blockstore: decoding spilled output %s: %w", e.path, err)
 	}
 	_ = os.Remove(e.path)
-	e.flat, e.shards = blob.Flat, blob.Shards
+	e.flat, e.shards = flat, shards
 	e.spilled, e.path = false, ""
 	s.acct.reload(e.bytes)
 	return s.enforceBudgetLocked(e)
@@ -248,24 +235,13 @@ func (s *SpillStore) enforceBudgetLocked(exclude *spillEntry) error {
 // spillLocked writes one resident entry to a fresh file in the store's
 // spill directory and frees its records.
 func (s *SpillStore) spillLocked(e *spillEntry) error {
-	s.nfiles++
-	path := fmt.Sprintf("%s%cblock-%d.gob", s.dir, os.PathSeparator, s.nfiles)
-	f, err := os.Create(path)
+	data, err := encodeSpill(e.flat, e.shards)
 	if err != nil {
-		return fmt.Errorf("blockstore: creating spill file: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	if err := gob.NewEncoder(bw).Encode(&spillBlob{Flat: e.flat, Shards: e.shards}); err != nil {
-		_ = f.Close()
-		_ = os.Remove(path)
 		return fmt.Errorf("blockstore: encoding spill file: %w", err)
 	}
-	if err := bw.Flush(); err == nil {
-		err = f.Close()
-	} else {
-		_ = f.Close()
-	}
-	if err != nil {
+	s.nfiles++
+	path := filepath.Join(s.dir, fmt.Sprintf("block-%d.rec", s.nfiles))
+	if err := os.WriteFile(path, data, 0o600); err != nil {
 		_ = os.Remove(path)
 		return fmt.Errorf("blockstore: writing spill file: %w", err)
 	}
@@ -275,22 +251,42 @@ func (s *SpillStore) spillLocked(e *spillEntry) error {
 	return nil
 }
 
-// registerSpillGob registers the record value types spill files may
-// carry. The set mirrors the live cluster's wire registration; duplicate
-// registration of identical types is a no-op for gob.
-var spillGobOnce sync.Once
+// Spill files hold one form byte, then the output in the rdd record codec:
+// a flat record list, or the per-reduce shards once it was bucketed.
+const (
+	spillFlat byte = iota
+	spillSharded
+)
 
-func registerSpillGob() {
-	spillGobOnce.Do(func() {
-		gob.Register("")
-		gob.Register(0)
-		gob.Register(0.0)
-		gob.Register(false)
-		gob.Register([]byte(nil))
-		gob.Register([]rdd.Value{})
-		gob.Register([]string{})
-		gob.Register([]float64{})
-		gob.Register(rdd.Tagged{})
-		gob.Register([2][]rdd.Value{})
-	})
+// encodeSpill encodes one output into an exactly sized buffer.
+func encodeSpill(flat []rdd.Pair, shards [][]rdd.Pair) ([]byte, error) {
+	if shards != nil {
+		n, err := rdd.ShardsSize(shards)
+		if err != nil {
+			return nil, err
+		}
+		return rdd.AppendShards(append(make([]byte, 0, 1+n), spillSharded), shards)
+	}
+	n, err := rdd.EncodedSize(flat)
+	if err != nil {
+		return nil, err
+	}
+	return rdd.AppendRecords(append(make([]byte, 0, 1+n), spillFlat), flat)
+}
+
+// decodeSpill is the inverse of encodeSpill. Every error wraps
+// rdd.ErrCorrupt.
+func decodeSpill(data []byte) (flat []rdd.Pair, shards [][]rdd.Pair, err error) {
+	if len(data) == 0 {
+		return nil, nil, fmt.Errorf("%w: empty spill file", rdd.ErrCorrupt)
+	}
+	switch data[0] {
+	case spillFlat:
+		flat, err = rdd.DecodeRecords(data[1:])
+	case spillSharded:
+		shards, err = rdd.DecodeShards(data[1:])
+	default:
+		err = fmt.Errorf("%w: unknown spill form %d", rdd.ErrCorrupt, data[0])
+	}
+	return flat, shards, err
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wanshuffle/internal/obs"
@@ -338,12 +339,19 @@ func (e *Engine) locality(ss *stageState, part int) []topology.HostID {
 			for di := range n.node.Deps {
 				spec := n.node.Deps[di].Shuffle
 				hostBytes := e.reg.ReducerHostBytes(spec.ID, part)
-				var total float64
-				for _, b := range hostBytes {
-					total += b
+				// Sum in host order: a map-order float sum varies in its
+				// last bits, which can flip the threshold test below.
+				held := make([]topology.HostID, 0, len(hostBytes))
+				for h := range hostBytes {
+					held = append(held, h)
 				}
-				for h, b := range hostBytes {
-					if total > 0 && b >= e.cfg.ReducerLocalityFraction*total {
+				slices.Sort(held)
+				var total float64
+				for _, h := range held {
+					total += hostBytes[h]
+				}
+				for _, h := range held {
+					if b := hostBytes[h]; total > 0 && b >= e.cfg.ReducerLocalityFraction*total {
 						byHost[h] += b
 					}
 				}

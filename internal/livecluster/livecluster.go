@@ -22,15 +22,16 @@
 //     reducers then read from the aggregators only.
 //
 // Closures execute in-process (tasks share the lineage graph), while data
-// crosses sockets gob-encoded; record values must therefore be
-// gob-encodable (string, int, float64, bool, []byte and slices thereof are
-// pre-registered). Workers keep their TCP connections to peers open across
-// requests and jobs (Stats.Dials counts the fresh ones).
+// crosses sockets in the rdd record codec; record values must therefore
+// belong to its closed Value set (nil, string, int, float64, bool, []byte,
+// []Value, []string, []float64, rdd.Tagged and [2][]Value), and any other
+// type fails the transfer with an error naming it. Workers keep their TCP
+// connections to peers open across requests and jobs (Stats.Dials counts
+// the fresh ones).
 package livecluster
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"log/slog"
 	"net"
@@ -872,20 +873,3 @@ func (c *Cluster) resetJobState() {
 		w.resetRun()
 	}
 }
-
-func registerGobTypes() {
-	gob.Register("")
-	gob.Register(0)
-	gob.Register(0.0)
-	gob.Register(false)
-	gob.Register([]byte(nil))
-	gob.Register([]rdd.Value{})
-	gob.Register([]string{})
-	gob.Register([]float64{})
-	gob.Register(rdd.Tagged{})
-	gob.Register([2][]rdd.Value{})
-}
-
-var gobOnce sync.Once
-
-func ensureGob() { gobOnce.Do(registerGobTypes) }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/gzip"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -13,9 +12,10 @@ import (
 
 // Chunk framing for the streaming data plane. A push or fetch moves its
 // records as a sequence of bounded-size chunk frames over one (or, for
-// pushes, several parallel) pooled gob connections, ended by a terminal
-// frame. Each chunk optionally carries its records compressed; chunks
-// that would not shrink ship raw, so compression never inflates the wire.
+// pushes, several parallel) pooled connections, ended by a terminal frame.
+// Each chunk carries its records in the rdd record codec as one opaque
+// payload, optionally compressed; chunks that would not shrink ship raw,
+// so compression never inflates the wire.
 
 // Compression codec names accepted by Config.Compression.
 const (
@@ -37,20 +37,18 @@ func validCodec(name string) (string, bool) {
 	}
 }
 
-// chunk is one frame of a push or fetch stream. Exactly one of Records or
-// Payload carries data: Payload is the gob encoding of the records
-// compressed with Codec, used only when it is smaller than the raw
-// encoding (RawLen). A frame with Last set terminates the stream; on
-// fetch streams it may carry a server-side error.
+// chunk is one frame of a push or fetch stream. Payload is the rdd record
+// encoding of the frame's records, compressed with Codec when that made
+// it smaller. A frame with Last set carries no records and terminates the
+// stream; on fetch streams it may carry a server-side error.
 type chunk struct {
 	// Seq orders the chunk within its logical transfer, so parallel push
 	// streams reassemble deterministically.
 	Seq     int
-	Records []rdd.Pair
 	Payload []byte
 	Codec   string
-	// RawLen is the size of the uncompressed gob encoding when Payload is
-	// used; it feeds the bytes_raw_total accounting.
+	// RawLen is the size of the uncompressed encoding when Payload is
+	// compressed; it feeds the bytes_raw_total accounting.
 	RawLen int64
 	Last   bool
 	Err    string
@@ -69,44 +67,42 @@ func (ch *chunk) savings() int64 {
 }
 
 // makeChunk builds one data frame for records, compressing with codec when
-// that shrinks the gob encoding.
+// that shrinks the encoding.
 func makeChunk(seq int, records []rdd.Pair, codec string) (*chunk, error) {
-	ch := &chunk{Seq: seq}
-	if codec == CodecNone {
-		ch.Records = records
-		return ch, nil
-	}
-	var raw bytes.Buffer
-	if err := gob.NewEncoder(&raw).Encode(records); err != nil {
+	raw, err := rdd.EncodeRecords(records)
+	if err != nil {
 		return nil, fmt.Errorf("livecluster: encoding chunk %d: %w", seq, err)
 	}
-	comp, err := compress(codec, raw.Bytes())
+	ch := &chunk{Seq: seq, Payload: raw}
+	if codec == CodecNone {
+		return ch, nil
+	}
+	comp, err := compress(codec, raw)
 	if err != nil {
 		return nil, err
 	}
-	if len(comp) >= raw.Len() {
+	if len(comp) >= len(raw) {
 		// Compression would inflate this chunk (tiny or incompressible
 		// data); ship it raw so bytes_wire_total never exceeds raw.
-		ch.Records = records
 		return ch, nil
 	}
 	ch.Payload = comp
 	ch.Codec = codec
-	ch.RawLen = int64(raw.Len())
+	ch.RawLen = int64(len(raw))
 	return ch, nil
 }
 
 // decode returns the chunk's records, decompressing as needed.
 func (ch *chunk) decode() ([]rdd.Pair, error) {
-	if ch.Codec == CodecNone {
-		return ch.Records, nil
+	raw := ch.Payload
+	if ch.Codec != CodecNone {
+		var err error
+		if raw, err = decompress(ch.Codec, ch.Payload); err != nil {
+			return nil, err
+		}
 	}
-	raw, err := decompress(ch.Codec, ch.Payload)
+	records, err := rdd.DecodeRecords(raw)
 	if err != nil {
-		return nil, err
-	}
-	var records []rdd.Pair
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&records); err != nil {
 		return nil, fmt.Errorf("livecluster: decoding chunk %d: %w", ch.Seq, err)
 	}
 	return records, nil

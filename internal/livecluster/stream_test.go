@@ -1,7 +1,9 @@
 package livecluster
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -393,6 +395,39 @@ func TestCompressedModeMatchesReference(t *testing.T) {
 			if stats.BytesRaw < stats.BytesOverTCP {
 				t.Fatalf("seed %d %v: BytesRaw %d < wire %d", seed, mode, stats.BytesRaw, stats.BytesOverTCP)
 			}
+		}
+	}
+}
+
+func TestChunkDecodeRejectsCorruptPayload(t *testing.T) {
+	ch, err := makeChunk(1, pairs(10), CodecNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.Payload = ch.Payload[:len(ch.Payload)-1]
+	if _, err := ch.decode(); !errors.Is(err, rdd.ErrCorrupt) {
+		t.Fatalf("truncated payload: err = %v, want rdd.ErrCorrupt", err)
+	}
+}
+
+// TestLiveJobRejectsUnsupportedValues runs a shuffle over values outside
+// the record codec's set: the job must fail, in both modes, with an error
+// naming the type rather than hang or panic.
+func TestLiveJobRejectsUnsupportedValues(t *testing.T) {
+	for _, mode := range []Mode{ModeFetch, ModePush} {
+		g := rdd.NewGraph()
+		in := g.Input("in", []rdd.InputPartition{
+			{Host: 0, Records: []rdd.Pair{rdd.KV("a", int64(1)), rdd.KV("b", int64(2))}},
+			{Host: 1, Records: []rdd.Pair{rdd.KV("a", int64(3))}},
+		})
+		c, err := New(Config{Workers: 2, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = c.Run(in.GroupByKey("g", 2))
+		c.Close()
+		if err == nil || !strings.Contains(err.Error(), "unsupported value type int64") {
+			t.Fatalf("%v: err = %v, want one naming int64", mode, err)
 		}
 	}
 }

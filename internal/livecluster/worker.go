@@ -17,7 +17,8 @@ import (
 )
 
 // Wire protocol: gob-framed streams multiplexed over persistent pooled
-// connections. A client checks a connection out of its pool, runs one
+// connections; chunk frames carry their records as opaque payloads in the
+// rdd record codec (see stream.go), so gob only frames headers. A client checks a connection out of its pool, runs one
 // exchange under the configured I/O deadline, and returns it; the server
 // loops decoding requests on each accepted connection until the peer
 // closes it. Three exchange shapes exist:
@@ -157,7 +158,6 @@ type worker struct {
 func (w *worker) localNow() float64 { return time.Since(w.epoch).Seconds() + w.skew }
 
 func newWorker(id int, c *Cluster) (*worker, error) {
-	ensureGob()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: worker %d listen: %w", id, err)

@@ -1,6 +1,8 @@
 package rdd
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -91,6 +93,43 @@ func FuzzSaltUnsaltRoundtrip(f *testing.F) {
 		got := CollectLocal(round)
 		if len(got) != 1 || got[0].Key != key {
 			t.Fatalf("roundtrip of %q through Salt(%d) = %v", key, n, got)
+		}
+	})
+}
+
+// FuzzDecodeRecords feeds arbitrary bytes to the record decoder: it must
+// return records or an error wrapping ErrCorrupt, never panic, and any
+// records it does return must survive a re-encode unchanged.
+func FuzzDecodeRecords(f *testing.F) {
+	valid, err := EncodeRecords(codecSamples())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		records, err := DecodeRecords(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		// The input may use non-minimal varints, so compare canonical
+		// re-encodings rather than bytes against data.
+		canon, err := EncodeRecords(records)
+		if err != nil {
+			t.Fatalf("decoded records do not re-encode: %v", err)
+		}
+		again, err := DecodeRecords(canon)
+		if err != nil {
+			t.Fatalf("re-encoding does not decode: %v", err)
+		}
+		if twice, _ := EncodeRecords(again); !bytes.Equal(twice, canon) {
+			t.Fatal("re-encoding is not stable")
 		}
 	})
 }

@@ -197,9 +197,20 @@ func (r *RDD) Map(name string, fn func(Pair) Pair) *RDD {
 // FlatMap applies fn to every record and concatenates the results.
 func (r *RDD) FlatMap(name string, fn func(Pair) []Pair) *RDD {
 	return r.narrowChild(name, func(_ int, in []Pair) []Pair {
-		var out []Pair
-		for _, p := range in {
-			out = append(out, fn(p)...)
+		// Collect first and allocate once: appending grows a large
+		// output by 1.25x at a time, copying it over and over.
+		parts := make([][]Pair, len(in))
+		n := 0
+		for i, p := range in {
+			parts[i] = fn(p)
+			n += len(parts[i])
+		}
+		if n == 0 {
+			return nil
+		}
+		out := make([]Pair, 0, n)
+		for _, part := range parts {
+			out = append(out, part...)
 		}
 		return out
 	})
@@ -358,9 +369,9 @@ func (r *RDD) AggregateByKey(name string, numParts int, fn CombineFn) *RDD {
 	}, nil)
 }
 
-// Tagged wraps cogroup inputs with their side. Exported (with exported
-// fields) so live backends can move cogroup map output across the wire
-// with encoding/gob.
+// Tagged wraps cogroup inputs with their side. It belongs to the record
+// codec's closed Value set, so live backends can move cogroup map output
+// across the wire.
 type Tagged struct {
 	Side int
 	V    Value

@@ -1,6 +1,9 @@
 package rdd
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // The helpers below implement the record-level semantics of a shuffle.
 // They are shared between the simulated engine (internal/exec) and the
@@ -34,18 +37,17 @@ func BucketRecords(spec *ShuffleSpec, records []Pair) [][]Pair {
 // reduce partition's gathered shard records: combining, grouping, or
 // sorting as requested.
 func ReduceAggregate(spec *ShuffleSpec, records []Pair) []Pair {
-	var out []Pair
 	switch {
 	case spec.GroupAll:
-		out = groupByKey(records)
+		return groupByKey(records)
 	case spec.Combine != nil:
-		out = combineByKey(spec.Combine, records)
-	default:
-		out = make([]Pair, len(records))
-		copy(out, records)
+		return combineByKey(spec.Combine, records)
 	}
-	if spec.SortKeys || spec.GroupAll || spec.Combine != nil {
-		sortByKeyStable(out)
+	out := make([]Pair, len(records))
+	copy(out, records)
+	if spec.SortKeys {
+		// Keys repeat here, so only a stable sort is deterministic.
+		slices.SortStableFunc(out, compareKeys)
 	}
 	return out
 }
@@ -65,7 +67,10 @@ func SampleKeys(records []Pair, max int) []string {
 }
 
 func combineByKey(fn CombineFn, records []Pair) []Pair {
-	acc := make(map[string]Value, len(records))
+	// No size hint: combining usually folds many records into few keys,
+	// and a hint of len(records) allocates and clears a table sized for
+	// the case where it folds none.
+	acc := make(map[string]Value)
 	for _, p := range records {
 		if cur, ok := acc[p.Key]; ok {
 			acc[p.Key] = fn(cur, p.Value)
@@ -77,7 +82,7 @@ func combineByKey(fn CombineFn, records []Pair) []Pair {
 	for k, v := range acc {
 		out = append(out, Pair{Key: k, Value: v})
 	}
-	sortByKeyStable(out)
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 
@@ -90,10 +95,10 @@ func groupByKey(records []Pair) []Pair {
 	for k, vs := range acc {
 		out = append(out, Pair{Key: k, Value: vs})
 	}
-	sortByKeyStable(out)
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 
-func sortByKeyStable(records []Pair) {
-	sort.SliceStable(records, func(i, j int) bool { return records[i].Key < records[j].Key })
-}
+// compareKeys orders records by key. combineByKey and groupByKey emit
+// unique keys, so they may sort unstably and their output is final.
+func compareKeys(a, b Pair) int { return strings.Compare(a.Key, b.Key) }
