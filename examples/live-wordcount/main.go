@@ -5,8 +5,8 @@
 // This demonstrates that Push/Aggregate is an executable system design:
 // the job chains two shuffles (count words, then regroup the counts by
 // frequency bucket), and under push mode every mapper ships its combined
-// output to a per-shuffle aggregator worker — chosen automatically by
-// shuffle.BestAggregator from the map-output sizes measured on the wire —
+// output to a per-shuffle aggregator worker — chosen automatically by the
+// planner's Eq. (2) rank over the map-output sizes measured on the wire —
 // the moment it finishes. Watch the per-worker shard counts and the chosen
 // aggregators; connection reuse means fetches and pushes far outnumber
 // TCP dials.

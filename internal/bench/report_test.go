@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,6 +50,46 @@ func TestRunReportGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("run report drifted from golden (regenerate with -update if intended)\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+}
+
+// TestAggReportsRepeat runs Push/Aggregate jobs whose placement
+// candidates once summed map-output bytes in map-iteration order: the
+// report's candidate input bytes and costs then varied in their last bits
+// from run to run. Every run of a seed must marshal to the same bytes.
+func TestAggReportsRepeat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs PageRank and NaiveBayes at Table I scale 60 times")
+	}
+	const runs = 20
+	for _, tc := range []struct {
+		w    *workloads.Workload
+		seed int64
+	}{
+		{workloads.PageRank(), 1},
+		{workloads.PageRank(), 7},
+		{workloads.NaiveBayes(), 1},
+	} {
+		t.Run(fmt.Sprintf("%s/seed%d", tc.w.Name, tc.seed), func(t *testing.T) {
+			var first []byte
+			for i := 0; i < runs; i++ {
+				rep, err := RunOne(tc.w, core.SchemeAggShuffle, tc.seed, Options{Runs: 1, BaseSeed: tc.seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := rep.RunReport(tc.w.Name).WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					first = buf.Bytes()
+					continue
+				}
+				if !bytes.Equal(buf.Bytes(), first) {
+					t.Fatalf("run %d report differs from run 0:\n%s\nvs\n%s", i, buf.Bytes(), first)
+				}
+			}
+		})
 	}
 }
 

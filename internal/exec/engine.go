@@ -1,11 +1,12 @@
 // Package exec executes RDD jobs on the simulated geo-distributed cluster.
 //
 // It ties the pieces together: the dag planner cuts the lineage into
-// stages, the sched scheduler places tasks on host slots, the shuffle
-// registry tracks map output, and simnet carries every byte that moves
-// between hosts. Computation over records is performed for real (the
-// engine produces actual results, validated against rdd.EvalLocal); only
-// durations are modeled, from each partition's modeled byte size.
+// stages, the sched scheduler places tasks on host slots, a map-output
+// table over a blockstore.MemStore tracks shuffle output, and simnet
+// carries every byte that moves between hosts. Computation over records
+// is performed for real (the engine produces actual results, validated
+// against rdd.EvalLocal); only durations are modeled, from each
+// partition's modeled byte size.
 //
 // Task lifecycle per stage phase: acquire inputs (disk reads locally,
 // network flows remotely — the all-to-all burst of a fetch-based shuffle
@@ -27,7 +28,6 @@ import (
 	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/sched"
-	"wanshuffle/internal/shuffle"
 	"wanshuffle/internal/sim"
 	"wanshuffle/internal/simnet"
 	"wanshuffle/internal/topology"
@@ -175,7 +175,7 @@ type Engine struct {
 	cfg      Config
 	log      *slog.Logger
 	retry    plan.Retry
-	reg      *shuffle.Registry
+	outputs  *mapOutputs
 	noiseRNG sim.RNG
 	failRNG  sim.RNG
 	aggRNG   sim.RNG
@@ -231,7 +231,7 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 		cfg:        cfg,
 		log:        obs.LoggerOr(cfg.Logger),
 		retry:      plan.Retry{Max: cfg.MaxAttempts},
-		reg:        shuffle.NewRegistry(),
+		outputs:    newMapOutputs(),
 		noiseRNG:   sim.Stream(seed, "exec.noise"),
 		failRNG:    sim.Stream(seed, "exec.failure"),
 		aggRNG:     sim.Stream(seed, "exec.aggpolicy"),
@@ -556,7 +556,7 @@ func (e *Engine) RunManyContext(ctx context.Context, specs []JobSpec) ([]*Result
 }
 
 // prepareJob plans a job through the shared planner and registers its
-// shuffles.
+// shuffles' map outputs.
 func (e *Engine) prepareJob(target *rdd.RDD, action Action) (*jobState, error) {
 	pj, err := plan.BuildJob(target)
 	if err != nil {
@@ -578,7 +578,7 @@ func (e *Engine) prepareJob(target *rdd.RDD, action Action) (*jobState, error) {
 		job.stages = append(job.stages, ss)
 		job.byStage[st] = ss
 		if st.OutSpec != nil {
-			e.reg.Register(st.OutSpec, st.NumTasks)
+			e.outputs.register(st.OutSpec, st.NumTasks)
 			e.producers[st.OutSpec.ID] = ss
 		}
 	}
@@ -663,16 +663,15 @@ func (e *Engine) stallDiagnostic(jobs []*jobState) string {
 // centralizeInputs ships every input partition of the job's plan to the
 // datacenter holding the largest input share, then calls done.
 func (e *Engine) centralizeInputs(job *jobState, done func()) {
-	plan := job.plan
 	srcSeen := map[int]*rdd.RDD{}
-	for _, st := range plan.Stages {
+	for _, st := range job.plan.Stages {
 		for _, src := range st.Sources {
 			srcSeen[src.ID] = src
 		}
 	}
 	byDC := make([]float64, e.Topo.NumDCs())
 	var srcs []*rdd.RDD
-	for _, st := range plan.Stages {
+	for _, st := range job.plan.Stages {
 		for _, src := range st.Sources {
 			if srcSeen[src.ID] == nil {
 				continue
@@ -684,10 +683,10 @@ func (e *Engine) centralizeInputs(job *jobState, done func()) {
 			}
 		}
 	}
-	target, _ := shuffle.BestAggregator(byDC)
-	pinned := topology.DCID(target)
-	job.pinDC = &pinned
-	workers := e.Topo.HostsIn(topology.DCID(target))
+	// The head of the byte rank is Eq. 2's optimum.
+	target := plan.Rank[topology.DCID](byDC, plan.AggregatorBest, nil)[0]
+	job.pinDC = &target
+	workers := e.Topo.HostsIn(target)
 	pending := 0
 	next := 0
 	finished := false
@@ -699,7 +698,7 @@ func (e *Engine) centralizeInputs(job *jobState, done func()) {
 	for _, src := range srcs {
 		for i := range src.Input {
 			part := &src.Input[i]
-			if e.Topo.DCOf(part.Host) == topology.DCID(target) {
+			if e.Topo.DCOf(part.Host) == target {
 				continue
 			}
 			dst := workers[next%len(workers)]

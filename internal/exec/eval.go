@@ -152,9 +152,9 @@ func (e *Engine) aggregateShuffle(node *rdd.RDD, part int, host topology.HostID,
 	var modeled float64
 	for di := range node.Deps {
 		d := &node.Deps[di]
-		for _, sh := range e.reg.Shards(d.Shuffle.ID, part) {
-			recs = append(recs, sh.Records...)
-			modeled += sh.ModeledBytes
+		for _, sh := range e.outputs.shards(d.Shuffle.ID, part) {
+			recs = append(recs, sh.records...)
+			modeled += sh.modeled
 		}
 	}
 	inReal := rdd.SizeOfAll(recs)

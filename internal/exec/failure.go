@@ -39,10 +39,7 @@ func (e *Engine) failHost(h topology.HostID) {
 
 	// Shuffle output stored on the host is gone (the "shuffle files" of
 	// Sec. II-A live on local disk).
-	lost := e.reg.OutputsOn(h)
-	for _, ref := range lost {
-		e.reg.Invalidate(ref[0], ref[1])
-	}
+	e.outputs.dropHost(h)
 	// Cached partitions on the host are gone too.
 	ids := make([]int, 0, len(e.cache))
 	for id := range e.cache {
@@ -82,17 +79,10 @@ func (e *Engine) liveReplica(h topology.HostID) topology.HostID {
 }
 
 // recoverShuffle triggers recomputation of a shuffle's missing map outputs
-// (after invalidation). Idempotent per partition: a recompute already in
-// flight is not duplicated. Returns true if recovery is pending.
+// (lost with their hosts). Idempotent per partition: a recompute already
+// in flight is not duplicated. Returns true if recovery is pending.
 func (e *Engine) recoverShuffle(shuffleID int) bool {
-	// First invalidate outputs still registered on dead hosts.
-	numMaps := e.reg.NumMaps(shuffleID)
-	for m := 0; m < numMaps; m++ {
-		if out := e.reg.Output(shuffleID, m); out != nil && e.deadHosts[out.Host] {
-			e.reg.Invalidate(shuffleID, m)
-		}
-	}
-	missing := e.reg.Missing(shuffleID)
+	missing := e.outputs.missing(shuffleID, e.deadHosts)
 	if len(missing) == 0 {
 		return false
 	}

@@ -170,3 +170,40 @@ func TestLiveReplicaPrefersSameDC(t *testing.T) {
 		t.Fatalf("replica in DC %d, want same DC %d", topo.DCOf(got), topo.DCOf(h))
 	}
 }
+
+// TestRecomputeAsAttemptOneReplacesAttemptTwo loses a mapper's host
+// between placement and compute, so its map tasks' outputs are stored by
+// attempt 2, then loses the host holding them after the map stage.
+// Recovery resubmits those map tasks as attempt 1; their outputs must
+// still replace the lost ones, or the reducers never find live input.
+func TestRecomputeAsAttemptOneReplacesAttemptTwo(t *testing.T) {
+	topo := topology.TwoDCMicro(2, 0.25)
+	dcA, _ := topo.DCByName("dc-a")
+	dcB, _ := topo.DCByName("dc-b")
+	run := func(failures ...HostFailure) (*Engine, *Result) {
+		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, HostFailures: failures})
+		res, err := eng.Run(hostFailJob(topo, dcA, dcB, false), ActionSave, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, res
+	}
+	early := HostFailure{Host: topo.HostsIn(dcA)[1], At: 0.2}
+	_, retried := run(early)
+	if retried.Retries == 0 {
+		t.Fatal("the early failure caused no attempt-2 map tasks")
+	}
+	_, clean := run()
+	eng, res := run(early, HostFailure{Host: topo.HostsIn(dcA)[0], At: retried.Stages[0].End + 1})
+	if canonSet(res.Records) != canonSet(clean.Records) {
+		t.Fatal("results wrong after recomputing attempt-2 map outputs")
+	}
+	for id, so := range eng.outputs.shuffles {
+		for part, out := range so.outs {
+			if !out.live || eng.isDead(out.host) || out.puts != 2 {
+				t.Fatalf("shuffle %d map %d: live=%v host %d (dead=%v) registrations %d, want one recompute on a live host",
+					id, part, out.live, out.host, eng.isDead(out.host), out.puts)
+			}
+		}
+	}
+}

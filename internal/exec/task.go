@@ -153,18 +153,13 @@ func (e *Engine) resolveAggregator(ss *stageState) {
 			}
 		}
 		for di := range b.Deps {
-			for host, bytes := range e.reg.HostBytes(b.Deps[di].Shuffle.ID) {
-				byDC[e.Topo.DCOf(host)] += bytes
+			for _, share := range e.outputs.hostBytes(b.Deps[di].Shuffle.ID) {
+				byDC[e.Topo.DCOf(share.host)] += share.bytes
 			}
 		}
 	}
 	var costs []plan.CandidateCost
-	if e.cfg.AggregatorPolicy == AggregatorBandwidth {
-		ss.aggRank, costs = plan.RankBandwidth[topology.DCID](byDC, e)
-	} else {
-		ss.aggRank = plan.Rank[topology.DCID](byDC, e.cfg.AggregatorPolicy, e.aggRNG.Shuffle)
-		costs = plan.EstimateTransferCosts(byDC, e)
-	}
+	ss.aggRank, costs = plan.RankPolicy[topology.DCID](byDC, e.cfg.AggregatorPolicy, e, e.aggRNG.Shuffle)
 	ss.aggResolved = true
 	if len(ss.aggRank) > 0 {
 		shuffleID := -1
@@ -338,7 +333,7 @@ func (e *Engine) locality(ss *stageState, part int) []topology.HostID {
 		case needShuffleRead:
 			for di := range n.node.Deps {
 				spec := n.node.Deps[di].Shuffle
-				hostBytes := e.reg.ReducerHostBytes(spec.ID, part)
+				hostBytes := e.outputs.reducerHostBytes(spec.ID, part)
 				// Sum in host order: a map-order float sum varies in its
 				// last bits, which can flip the threshold test below.
 				held := make([]topology.HostID, 0, len(hostBytes))
@@ -478,14 +473,14 @@ func (e *Engine) acquireThenCompute(t *taskRun, host topology.HostID, release fu
 				if fetchShuffle == 0 {
 					fetchShuffle = spec.ID
 				}
-				for _, sh := range e.reg.Shards(spec.ID, t.part) {
-					if sh.ModeledBytes <= 0 {
+				for _, sh := range e.outputs.shards(spec.ID, t.part) {
+					if sh.modeled <= 0 {
 						continue
 					}
-					if sh.Host == host {
-						diskBytes += sh.ModeledBytes
+					if sh.host == host {
+						diskBytes += sh.modeled
 					} else {
-						remotes = append(remotes, remote{sh.Host, sh.ModeledBytes, TagShuffle})
+						remotes = append(remotes, remote{sh.host, sh.modeled, TagShuffle})
 					}
 				}
 			}
@@ -718,7 +713,7 @@ func (e *Engine) postPhase(t *taskRun, host topology.HostID, out partData, bound
 
 	// Final phase of the stage.
 	if st.OutSpec != nil {
-		e.reg.AddMapOutput(st.OutSpec.ID, t.part, host, out.records, out.modeled)
+		e.outputs.put(st.OutSpec.ID, t.part, host, out.records, out.modeled)
 		e.recoveryDone(st.OutSpec.ID, t.part)
 		e.Clock.After(out.modeled/e.cfg.DiskBps, func() {
 			e.taskEvent(obs.PhaseFinished, t, int(e.Topo.DCOf(host)), nil)
@@ -809,7 +804,7 @@ func (e *Engine) taskDone(ss *stageState) {
 	e.log.Debug("exec: stage finished", "stage", ss.st.Name(), "id", ss.st.ID, "sec", ss.span.End-ss.span.Start)
 	e.Events.OnStage(ss.span)
 	if ss.st.OutSpec != nil {
-		e.reg.Finalize(ss.st.OutSpec.ID)
+		e.outputs.barrier(ss.st.OutSpec.ID)
 	}
 	for _, other := range ss.job.stages {
 		for _, p := range other.st.Parents {

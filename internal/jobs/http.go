@@ -24,6 +24,11 @@ type SubmitRequest struct {
 	EstBytes   int64 `json:"est_bytes,omitempty"`
 }
 
+// maxSubmitBytes bounds a POST /jobs body. A SubmitRequest is a few
+// hundred bytes; anything past this is refused with 413 before a job is
+// recorded.
+const maxSubmitBytes = 64 << 10
+
 // Builder turns an HTTP submit request into a runnable Submission. The
 // serving command supplies it: it resolves the workload name against its
 // backend (shared live cluster or a fresh simulator context) and returns
@@ -40,7 +45,8 @@ type handler struct {
 //
 //	GET  /jobs              JSON list of every job, submission order
 //	GET  /jobs?watch=1      NDJSON lifecycle event stream (history + live)
-//	POST /jobs              submit a workload (202; 429 when rejected)
+//	POST /jobs              submit a workload (202; 429 when rejected, 413 when
+//	                        the body is over maxSubmitBytes)
 //	GET  /jobs/{id}         one job's snapshot
 //	GET  /jobs/{id}/report  the job's retained run report
 //	POST /jobs/{id}/cancel  cancel a queued or running job
@@ -96,7 +102,12 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}

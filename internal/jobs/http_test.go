@@ -165,6 +165,28 @@ func TestHTTPRejectionsAndErrors(t *testing.T) {
 	waitHTTPState(t, srv, blocker.ID, StateCanceled)
 }
 
+// TestHTTPSubmitBodyBounded: a POST /jobs body over the size bound is
+// refused with 413 and records no job; one just under it still submits.
+func TestHTTPSubmitBodyBounded(t *testing.T) {
+	svc, srv := testServer(t, Config{})
+	body := func(size int) string {
+		head := `{"tenant":"a","workload":"ok","pad":"`
+		return head + strings.Repeat("x", size-len(head)-2) + `"}`
+	}
+	resp, _ := postJob(t, srv, body(maxSubmitBytes+1))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body status %d, want 413", resp.StatusCode)
+	}
+	if jobs := svc.List(); len(jobs) != 0 {
+		t.Fatalf("oversize body recorded jobs: %+v", jobs)
+	}
+	resp, info := postJob(t, srv, body(maxSubmitBytes))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("body at the bound status %d, want 202", resp.StatusCode)
+	}
+	waitTerminal(t, svc, info.ID)
+}
+
 func TestHTTPWatchStream(t *testing.T) {
 	svc, srv := testServer(t, Config{})
 	resp, info := postJob(t, srv, `{"tenant":"a","workload":"ok"}`)

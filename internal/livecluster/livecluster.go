@@ -17,7 +17,7 @@
 //     shard over TCP after the map barrier (stock Spark).
 //   - ModePush: each mapper pushes its prepared output to a receiver on an
 //     aggregator worker as soon as it finishes (transferTo). The
-//     aggregator is chosen per shuffle by shuffle.BestAggregator from
+//     aggregator is chosen per shuffle by the planner's Eq. (2) rank over
 //     measured map-output sizes unless Config.Aggregators pins it;
 //     reducers then read from the aggregators only.
 //

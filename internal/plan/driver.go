@@ -32,7 +32,8 @@ type Backend interface {
 
 	// InputSizes reports stage st's input bytes per site: leaf input
 	// partitions plus the measured sizes of the map outputs feeding the
-	// stage's shuffle boundaries. It feeds shuffle.BestAggregator.
+	// stage's shuffle boundaries. It feeds aggregator ranking (Rank,
+	// Eq. 2).
 	InputSizes(st *dag.Stage) []float64
 
 	// RunMapTask computes map partition part of st at site, applies
@@ -315,15 +316,7 @@ func (d *Driver) resolveAggregators(st *dag.Stage) []int {
 	}
 	agg := d.cfg.Aggregators
 	if len(agg) == 0 {
-		sizes := d.be.InputSizes(st)
-		var rank []int
-		var costs []CandidateCost
-		if d.cfg.Policy == AggregatorBandwidth {
-			rank, costs = RankBandwidth[int](sizes, d.cfg.LinkCosts)
-		} else {
-			rank = Rank[int](sizes, d.cfg.Policy, d.cfg.ShuffleFn)
-			costs = EstimateTransferCosts(sizes, d.cfg.LinkCosts)
-		}
+		rank, costs := RankPolicy[int](d.be.InputSizes(st), d.cfg.Policy, d.cfg.LinkCosts, d.cfg.ShuffleFn)
 		if len(rank) == 0 {
 			return nil
 		}

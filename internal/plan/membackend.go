@@ -148,16 +148,25 @@ func (b *MemBackend) RunResultTask(st *dag.Stage, part, site int) ([]rdd.Pair, e
 // Barrier implements Backend: prepare a range partitioner from keys sampled
 // across the finished map outputs, like the engine's map-stage barrier.
 func (b *MemBackend) Barrier(st *dag.Stage) error {
-	spec := st.OutSpec
+	b.mu.Lock()
+	numMaps := len(b.meta[st.OutSpec.ID])
+	b.mu.Unlock()
+	return PrepareRange(st.OutSpec, b.store, numMaps)
+}
+
+// PrepareRange is the map-stage barrier's sampling step for
+// range-partitioned shuffles (Spark's sortByKey sampling, which the
+// paper's Fig. 3 shows happening before reducers fetch their shards): it
+// samples keys from the flat outputs of map partitions [0, numMaps) in
+// store and prepares spec's partitioner from them. Other shuffles, and a
+// partitioner already prepared, are left alone.
+func PrepareRange(spec *rdd.ShuffleSpec, store blockstore.Store, numMaps int) error {
 	if !spec.SampleForRange || spec.Partitioner.Ready() {
 		return nil
 	}
-	b.mu.Lock()
-	numMaps := len(b.meta[spec.ID])
-	b.mu.Unlock()
 	var sample []string
 	for part := 0; part < numMaps; part++ {
-		recs, err := b.store.Get(blockstore.Key{Shuffle: spec.ID, MapPart: part})
+		recs, err := store.Get(blockstore.Key{Shuffle: spec.ID, MapPart: part})
 		if err != nil {
 			return fmt.Errorf("plan: sampling shuffle %d map %d: %w", spec.ID, part, err)
 		}

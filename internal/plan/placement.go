@@ -203,8 +203,9 @@ func RankBandwidth[S ~int](bySite []float64, links LinkCostProvider) ([]S, []Can
 // each site holds. Inputs are sanitized first (NaN, ±Inf, and negative
 // shares count as 0 bytes), then sorted by descending share with ties
 // toward the lowest site index — so the head of a Best-policy rank is
-// exactly shuffle.BestAggregator's Eq. (2) optimum, deterministically,
-// with no sentinel values that degenerate inputs could collide with.
+// exactly the Eq. (2) optimum (the site whose share s_i minimizes the
+// cross-site traffic S − s_i), deterministically, with no sentinel values
+// that degenerate inputs could collide with.
 // shuffleFn (required only for AggregatorRandom) permutes the rank with
 // the backend's seeded RNG. AggregatorBandwidth needs link costs — use
 // RankBandwidth instead; passing it here panics like any unknown policy.
@@ -236,6 +237,17 @@ func Rank[S ~int](bySite []float64, policy AggregatorPolicy, shuffleFn func(n in
 		panic(fmt.Sprintf("plan: unknown aggregator policy %d", policy))
 	}
 	return rank
+}
+
+// RankPolicy ranks sites under any policy and prices every candidate for
+// the run report: RankBandwidth under AggregatorBandwidth, otherwise Rank
+// with the candidates' costs estimated over links. It is the one policy
+// dispatch both backends' aggregator resolution goes through.
+func RankPolicy[S ~int](bySite []float64, policy AggregatorPolicy, links LinkCostProvider, shuffleFn func(n int, swap func(i, j int))) ([]S, []CandidateCost) {
+	if policy == AggregatorBandwidth {
+		return RankBandwidth[S](bySite, links)
+	}
+	return Rank[S](bySite, policy, shuffleFn), EstimateTransferCosts(bySite, links)
 }
 
 // SpreadTopK spreads partition part round-robin over the top-k ranked

@@ -198,6 +198,39 @@ func TestRankBandwidthPrefersFastHub(t *testing.T) {
 	}
 }
 
+// TestRankPolicyDispatch pins the one policy dispatch both backends use:
+// the bandwidth policy ranks by transfer cost, every other policy by
+// input share, and all of them price every candidate the same way.
+func TestRankPolicyDispatch(t *testing.T) {
+	sizes := []float64{45e3, 10e3, 40e3}
+	links := symmetric(
+		[3]float64{0, 1, 100e6},
+		[3]float64{1, 2, 100e6},
+		[3]float64{0, 2, 1e6},
+	)
+	wantCosts := fmt.Sprint(EstimateTransferCosts(sizes, links))
+	for _, tc := range []struct {
+		policy AggregatorPolicy
+		rank   string
+	}{
+		{AggregatorBest, "[0 2 1]"},
+		{AggregatorWorst, "[1 2 0]"},
+		{AggregatorRandom, "[0 2 1]"}, // the identity shuffle keeps the byte order
+		{AggregatorBandwidth, "[1 0 2]"},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			identity := func(int, func(i, j int)) {}
+			rank, costs := RankPolicy[int](sizes, tc.policy, links, identity)
+			if got := fmt.Sprint(rank); got != tc.rank {
+				t.Fatalf("rank = %v, want %v", got, tc.rank)
+			}
+			if got := fmt.Sprint(costs); got != wantCosts {
+				t.Fatalf("costs = %v, want %v", got, wantCosts)
+			}
+		})
+	}
+}
+
 // TestDriverBandwidthPolicy drives the same skewed lineage under the
 // byte rule and the bandwidth rule: site 0 holds the largest share but
 // sits behind the slow link, so AggregatorBest must pick 0 and

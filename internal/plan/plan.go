@@ -1,8 +1,8 @@
 // Package plan is the backend-neutral execution core of wanshuffle: it
 // turns an RDD lineage into a planned job (shuffle-separated stages via
 // internal/dag), selects per-shuffle aggregators with the paper's Eq. (2)
-// rule (shuffle.BestAggregator) from measured input sizes, places receiver
-// and reducer tasks, and tracks retry budgets.
+// rule (the head of Rank) from measured input sizes, places receiver and
+// reducer tasks, and tracks retry budgets.
 //
 // Two backends consume the planner:
 //

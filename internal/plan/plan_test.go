@@ -12,19 +12,71 @@ import (
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
-	"wanshuffle/internal/shuffle"
 	"wanshuffle/internal/topology"
 )
 
-func TestRankBestHeadIsBestAggregator(t *testing.T) {
-	bySite := []float64{10, 50, 20, 50, 5}
-	rank := Rank[int](bySite, AggregatorBest, nil)
-	best, _ := shuffle.BestAggregator(bySite)
-	if rank[0] != best {
-		t.Fatalf("rank head %d != BestAggregator %d", rank[0], best)
+// eq2Traffic is Eq. (1) summed over reducers: the cross-site bytes a
+// shuffle moves if every reducer runs at site dc, given the input bytes
+// stored per site.
+func eq2Traffic(sizes []float64, dc int) float64 {
+	var total float64
+	for _, s := range sizes {
+		total += s
 	}
-	if got, want := fmt.Sprint(rank), "[1 3 2 0 4]"; got != want {
-		t.Fatalf("rank = %v, want %v (descending, ties to lowest index)", got, want)
+	return total - sizes[dc]
+}
+
+// TestRankHeadIsEq2Optimum pins the head of a Best-policy rank to Eq. (2):
+// the site holding the largest input share, lowest index on ties, which
+// leaves S − s₁ bytes to move.
+func TestRankHeadIsEq2Optimum(t *testing.T) {
+	cases := []struct {
+		name    string
+		sizes   []float64
+		rank    string
+		traffic float64
+	}{
+		{"ties to lowest index", []float64{10, 50, 20, 50, 5}, "[1 3 2 0 4]", 85},
+		{"largest share", []float64{100, 400, 250}, "[1 2 0]", 350},
+		{"single site", []float64{7}, "[0]", 0},
+		{"no sites", nil, "[]", 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rank := Rank[int](tc.sizes, AggregatorBest, nil)
+			if got := fmt.Sprint(rank); got != tc.rank {
+				t.Fatalf("rank = %v, want %v (descending, ties to lowest index)", got, tc.rank)
+			}
+			if len(rank) == 0 {
+				return
+			}
+			if got := eq2Traffic(tc.sizes, rank[0]); got != tc.traffic {
+				t.Fatalf("traffic at head = %v, want S - s1 = %v", got, tc.traffic)
+			}
+		})
+	}
+}
+
+// Property (Eq. 2): for random distributions, no aggregation site moves
+// fewer cross-site bytes than the head of the Best-policy rank.
+func TestQuickRankHeadOptimal(t *testing.T) {
+	f := func(seed int64, nRaw uint8) bool {
+		n := int(nRaw%8) + 1
+		rng := rand.New(rand.NewSource(seed))
+		sizes := make([]float64, n)
+		for i := range sizes {
+			sizes[i] = rng.Float64() * 1000
+		}
+		best := eq2Traffic(sizes, Rank[int](sizes, AggregatorBest, nil)[0])
+		for i := range sizes {
+			if eq2Traffic(sizes, i) < best-1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -159,7 +211,7 @@ func TestDriverMemBackendMatchesEvalLocal(t *testing.T) {
 
 // TestDriverAggregatorFollowsMeasuredSizes plants nearly all map output on
 // one site and checks the second shuffle aggregates there: the driver must
-// feed shuffle.BestAggregator measured sizes, not static guesses.
+// rank measured sizes, not static guesses.
 func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	g := rdd.NewGraph()
 	var parts []rdd.InputPartition
