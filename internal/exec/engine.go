@@ -193,11 +193,9 @@ type Engine struct {
 
 	cache map[int][]*cachedPart // RDD ID → per-partition cached copies
 
-	// Fractional-byte remainders per traffic class, carrying the sub-byte
-	// residue of continuous flow deliveries between integer counter
-	// increments (bytes_moved_total / bytes_cross_dc_total).
-	byteRem  map[string]float64
-	crossRem map[string]float64
+	// mirrors holds each traffic class's byte counters and sub-byte
+	// remainders, so a simulated delivery resolves no label map.
+	mirrors map[string]*tagMirror
 
 	deadHosts []bool
 	// producers maps shuffle ID → the stage that computes its map output,
@@ -236,8 +234,7 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 		failRNG:    sim.Stream(seed, "exec.failure"),
 		aggRNG:     sim.Stream(seed, "exec.aggpolicy"),
 		cache:      make(map[int][]*cachedPart),
-		byteRem:    make(map[string]float64),
-		crossRem:   make(map[string]float64),
+		mirrors:    make(map[string]*tagMirror),
 		deadHosts:  make([]bool, topo.NumHosts()),
 		producers:  make(map[int]*stageState),
 		recovering: make(map[recoveryKey]bool),
@@ -270,28 +267,48 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 	return e
 }
 
+// tagMirror is one traffic class's mirror state: its bytes_moved_total
+// and bytes_cross_dc_total{class} handles, bound at the first whole byte
+// each receives (a class that never moves a whole cross-DC byte registers
+// no cross-DC series), and the fractional residue of continuous flow
+// deliveries carried between integer counter increments.
+type tagMirror struct {
+	moved, cross       *obs.Counter
+	movedRem, crossRem float64
+}
+
 // mirrorDelivery folds one (possibly fractional) delivered-byte increment
 // into the registry's integer counters, carrying the remainder. Runs
 // inside the single-threaded simulation loop; the registry itself is
 // concurrency-safe for scrapers.
 func (e *Engine) mirrorDelivery(tag string, bytes float64, crossDC bool) {
-	reg := e.Events.Registry()
-	if r := e.byteRem[tag] + bytes; r >= 1 {
+	m := e.mirrors[tag]
+	if m == nil {
+		m = &tagMirror{}
+		e.mirrors[tag] = m
+	}
+	if r := m.movedRem + bytes; r >= 1 {
 		whole := int64(r)
-		reg.Counter("bytes_moved_total", obs.Labels{"class": tag}).Add(whole)
-		e.byteRem[tag] = r - float64(whole)
+		if m.moved == nil {
+			m.moved = e.Events.Registry().Counter("bytes_moved_total", obs.Labels{"class": tag})
+		}
+		m.moved.Add(whole)
+		m.movedRem = r - float64(whole)
 	} else {
-		e.byteRem[tag] = r
+		m.movedRem = r
 	}
 	if !crossDC {
 		return
 	}
-	if r := e.crossRem[tag] + bytes; r >= 1 {
+	if r := m.crossRem + bytes; r >= 1 {
 		whole := int64(r)
-		reg.Counter("bytes_cross_dc_total", obs.Labels{"class": tag}).Add(whole)
-		e.crossRem[tag] = r - float64(whole)
+		if m.cross == nil {
+			m.cross = e.Events.Registry().Counter("bytes_cross_dc_total", obs.Labels{"class": tag})
+		}
+		m.cross.Add(whole)
+		m.crossRem = r - float64(whole)
 	} else {
-		e.crossRem[tag] = r
+		m.crossRem = r
 	}
 }
 

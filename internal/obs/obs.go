@@ -15,12 +15,15 @@
 package obs
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,21 +34,52 @@ import (
 // same metric instance.
 type Labels map[string]string
 
-// canonical renders labels in sorted k=v order for map keys and output.
+// canonical renders labels in sorted k=v, order. It is the display and
+// sort form only: it does not escape, so distinct label sets can render
+// alike (a value may itself contain "," or "=").
 func (l Labels) canonical() string {
-	if len(l) == 0 {
-		return ""
+	var b strings.Builder
+	for _, k := range l.sortedKeys(nil) {
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(l[k])
+		b.WriteByte(',')
 	}
-	keys := make([]string, 0, len(l))
+	return b.String()
+}
+
+// sortedKeys appends the label keys to dst in ascending order.
+func (l Labels) sortedKeys(dst []string) []string {
 	for k := range l {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	s := ""
+	slices.Sort(dst)
+	return dst
+}
+
+// seriesKey is the registry's identity for name{labels}: the name and
+// each sorted key and value, every one length-prefixed, so two distinct
+// label sets can never share a key.
+func seriesKey(name string, l Labels) string {
+	var keyBuf [4]string // room for every label set in use: sorts off the heap
+	keys := l.sortedKeys(keyBuf[:0])
+	n := len(name) + binary.MaxVarintLen64
 	for _, k := range keys {
-		s += k + "=" + l[k] + ","
+		n += len(k) + len(l[k]) + 2*binary.MaxVarintLen64
 	}
-	return s
+	var b strings.Builder
+	b.Grow(n)
+	var lenBuf [binary.MaxVarintLen64]byte
+	field := func(s string) {
+		b.Write(binary.AppendUvarint(lenBuf[:0], uint64(len(s))))
+		b.WriteString(s)
+	}
+	field(name)
+	for _, k := range keys {
+		field(k)
+		field(l[k])
+	}
+	return b.String()
 }
 
 // Counter is a monotonically increasing metric.
@@ -149,10 +183,14 @@ func (k metricKind) String() string {
 type metricEntry struct {
 	name   string
 	labels Labels
-	kind   metricKind
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	// key is the unambiguous registry key; sortLabels is the canonical
+	// label string Snapshot orders by. Both are fixed at registration.
+	key        string
+	sortLabels string
+	kind       metricKind
+	c          *Counter
+	g          *Gauge
+	h          *Histogram
 }
 
 // Registry holds named metrics. The zero value is not usable; create one
@@ -170,7 +208,7 @@ func NewRegistry() *Registry {
 }
 
 func (r *Registry) entry(name string, labels Labels, kind metricKind, edges []float64) *metricEntry {
-	key := name + "\xff" + labels.canonical()
+	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.metrics[key]; ok {
@@ -183,7 +221,7 @@ func (r *Registry) entry(name string, labels Labels, kind metricKind, edges []fl
 	for k, v := range labels {
 		cp[k] = v
 	}
-	e := &metricEntry{name: name, labels: cp, kind: kind}
+	e := &metricEntry{name: name, labels: cp, key: key, sortLabels: cp.canonical(), kind: kind}
 	switch kind {
 	case kindCounter:
 		e.c = &Counter{}
@@ -247,7 +285,8 @@ type MetricPoint struct {
 	Buckets []HistBucket      `json:"buckets,omitempty"`
 }
 
-// Snapshot exports every metric, sorted by name then labels, so output is
+// Snapshot exports every metric, sorted by name then labels (ties between
+// label sets that render alike broken on the registry key), so output is
 // deterministic.
 func (r *Registry) Snapshot() []MetricPoint {
 	if r == nil {
@@ -260,10 +299,14 @@ func (r *Registry) Snapshot() []MetricPoint {
 	}
 	r.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].name != entries[j].name {
-			return entries[i].name < entries[j].name
+		a, b := entries[i], entries[j]
+		if a.name != b.name {
+			return a.name < b.name
 		}
-		return entries[i].labels.canonical() < entries[j].labels.canonical()
+		if a.sortLabels != b.sortLabels {
+			return a.sortLabels < b.sortLabels
+		}
+		return a.key < b.key
 	})
 	out := make([]MetricPoint, 0, len(entries))
 	for _, e := range entries {

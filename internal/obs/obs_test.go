@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -27,6 +28,63 @@ func TestCounterIdentityAndValue(t *testing.T) {
 	a.Add(-7) // negative deltas are ignored: counters are monotonic
 	if got := a.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
+	}
+}
+
+// TestDistinctLabelSetsNeverShareASeries pins the registry's identity
+// rule: label sets that render to the same "k=v," string (a value holding
+// "," or "=") are still distinct series, each exported with its own
+// labels and value, in an order that does not depend on registration
+// order.
+func TestDistinctLabelSetsNeverShareASeries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b Labels
+	}{
+		{"comma in value", Labels{"a": "b,c=d"}, Labels{"a": "b", "c": "d"}},
+		{"equals in value", Labels{"a": "x=y"}, Labels{"a=x": "y"}},
+		{"comma and equals across keys", Labels{"k": "1,k2=2,k3=3"}, Labels{"k": "1", "k2": "2,k3=3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var snaps [2][]MetricPoint
+			for i, order := range [2][2]Labels{{tc.a, tc.b}, {tc.b, tc.a}} {
+				r := NewRegistry()
+				x, y := r.Counter("m", order[0]), r.Counter("m", order[1])
+				if x == y {
+					t.Fatalf("%v and %v share one counter", order[0], order[1])
+				}
+				if r.Counter("m", order[0]) != x {
+					t.Fatalf("%v re-resolved to a new counter", order[0])
+				}
+				r.Counter("m", tc.a).Add(1)
+				r.Counter("m", tc.b).Add(2)
+				snaps[i] = r.Snapshot()
+			}
+			for i, snap := range snaps {
+				if len(snap) != 2 {
+					t.Fatalf("registration order %d: %d series, want 2: %v", i, len(snap), snap)
+				}
+				for _, want := range []struct {
+					labels Labels
+					value  float64
+				}{{tc.a, 1}, {tc.b, 2}} {
+					n := 0
+					for _, p := range snap {
+						if maps.Equal(p.Labels, want.labels) && p.Value == want.value {
+							n++
+						}
+					}
+					if n != 1 {
+						t.Fatalf("registration order %d: series %v = %v exported %d times: %v", i, want.labels, want.value, n, snap)
+					}
+				}
+			}
+			for j := range snaps[0] {
+				if !maps.Equal(snaps[0][j].Labels, snaps[1][j].Labels) {
+					t.Fatalf("snapshot order depends on registration order: %v vs %v", snaps[0], snaps[1])
+				}
+			}
+		})
 	}
 }
 
