@@ -21,6 +21,7 @@ package blockstore
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"wanshuffle/internal/rdd"
@@ -60,6 +61,30 @@ func (o *Output) bytes() int64 {
 	return int64(rdd.SizeOfAll(o.Records))
 }
 
+// sample takes a flat output's barrier sample (see Store.Sample). The
+// keys are copied into one string: decoded keys share their chunk's
+// buffer, which a sample kept past a spill must not pin.
+func (o *Output) sample() []string {
+	if o.Shards != nil {
+		return nil
+	}
+	keys := rdd.SampleKeys(o.Records, rdd.SampleSize)
+	size := 0
+	for _, k := range keys {
+		size += len(k)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, k := range keys {
+		b.WriteString(k)
+	}
+	all := b.String()
+	for i, k := range keys {
+		keys[i], all = all[:len(k)], all[len(k):]
+	}
+	return keys
+}
+
 // BucketFunc buckets one flat output into per-reduce shards. Stores call
 // it at most once per key — the first Shards read of a flat output — so
 // callers may count invocations to observe deferred bucketing.
@@ -78,10 +103,14 @@ type Store interface {
 	// (a duplicate push).
 	Put(key Key, out Output) (stored, dup bool, err error)
 
-	// Get returns the output's flat record view: the records as stored
-	// for flat outputs, or the shards flattened in shard order for
-	// bucketed ones. Barrier-time key sampling reads through it.
-	Get(key Key) ([]rdd.Pair, error)
+	// Sample returns the output's barrier key sample,
+	// rdd.SampleKeys(records, rdd.SampleSize), taken when a flat output
+	// was Put. It stays resident while the output spills and is unchanged
+	// by bucketing, so sampling at the map barrier never reloads an
+	// output. It follows the output's attempt, drop and reset rules. An
+	// output Put already bucketed has no sample (nil): its partitioner
+	// was ready before it was stored, so no barrier samples it.
+	Sample(key Key) ([]string, error)
 
 	// Shards returns the output's per-reduce shards. A flat output is
 	// bucketed through bucket exactly once, on its first Shards call, and

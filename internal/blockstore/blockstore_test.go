@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"wanshuffle/internal/rdd"
 )
@@ -32,6 +33,28 @@ func modBucket(parts int) BucketFunc {
 	}
 }
 
+// flatView reads an output's flat record view through Shards: a flat
+// output is bucketed into one shard holding its records as stored, a
+// bucketed one flattens in shard order.
+func flatView(s Store, key Key) ([]rdd.Pair, error) {
+	shards, err := s.Shards(key, func(recs []rdd.Pair) ([][]rdd.Pair, error) {
+		return [][]rdd.Pair{recs}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return concat(shards), nil
+}
+
+// concat joins shards in order; nil when every shard is empty.
+func concat(shards [][]rdd.Pair) []rdd.Pair {
+	var out []rdd.Pair
+	for _, shard := range shards {
+		out = append(out, shard...)
+	}
+	return out
+}
+
 // stores builds one of each implementation sharing the test's lifecycle.
 // The spill store's budget is generous enough that nothing spills unless
 // the test overflows it deliberately.
@@ -49,17 +72,20 @@ func TestPutGetRoundTrip(t *testing.T) {
 	for name, s := range stores(t, 1<<30) {
 		t.Run(name, func(t *testing.T) {
 			key := Key{Shuffle: 7, MapPart: 3}
-			if _, err := s.Get(key); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get before Put: err = %v, want ErrNotFound", err)
+			if _, err := flatView(s, key); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("read before Put: err = %v, want ErrNotFound", err)
+			}
+			if _, err := s.Sample(key); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Sample before Put: err = %v, want ErrNotFound", err)
 			}
 			recs := records(10, "a")
 			stored, dup, err := s.Put(key, Output{Attempt: 1, Records: recs})
 			if err != nil || !stored || dup {
 				t.Fatalf("Put = (%v, %v, %v), want (true, false, nil)", stored, dup, err)
 			}
-			got, err := s.Get(key)
+			got, err := flatView(s, key)
 			if err != nil || !reflect.DeepEqual(got, recs) {
-				t.Fatalf("Get = (%v, %v), want stored records", got, err)
+				t.Fatalf("read = (%v, %v), want stored records", got, err)
 			}
 			if s.Len() != 1 {
 				t.Fatalf("Len = %d, want 1", s.Len())
@@ -80,7 +106,7 @@ func TestLastWriteWinsByAttempt(t *testing.T) {
 			if err != nil || stored || !dup {
 				t.Fatalf("stale Put = (%v, %v, %v), want (false, true, nil)", stored, dup, err)
 			}
-			got, _ := s.Get(key)
+			got, _ := flatView(s, key)
 			if got[0].Value != "new" {
 				t.Fatalf("stale attempt clobbered the newer output: %v", got[0])
 			}
@@ -89,7 +115,7 @@ func TestLastWriteWinsByAttempt(t *testing.T) {
 			if err != nil || !stored || !dup {
 				t.Fatalf("newer Put = (%v, %v, %v), want (true, true, nil)", stored, dup, err)
 			}
-			got, _ = s.Get(key)
+			got, _ = flatView(s, key)
 			if got[0].Value != "newer" {
 				t.Fatalf("newer attempt did not replace: %v", got[0])
 			}
@@ -126,9 +152,9 @@ func TestShardsBucketExactlyOnce(t *testing.T) {
 				t.Fatalf("bucket ran %d times, want exactly once", calls)
 			}
 			// The flat view survives bucketing (flattened in shard order).
-			flat, err := s.Get(key)
+			flat, err := flatView(s, key)
 			if err != nil || len(flat) != len(recs) {
-				t.Fatalf("Get after bucketing = (%d records, %v), want %d", len(flat), err, len(recs))
+				t.Fatalf("read after bucketing = (%d records, %v), want %d", len(flat), err, len(recs))
 			}
 			// A pre-bucketed Put never invokes bucket.
 			key2 := Key{Shuffle: 2, MapPart: 2}
@@ -183,10 +209,10 @@ func TestDropShuffleAndReset(t *testing.T) {
 			if s.Len() != 3 {
 				t.Fatalf("Len after DropShuffle = %d, want 3", s.Len())
 			}
-			if _, err := s.Get(Key{Shuffle: 0, MapPart: 0}); !errors.Is(err, ErrNotFound) {
+			if _, err := flatView(s, Key{Shuffle: 0, MapPart: 0}); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("dropped shuffle still readable: %v", err)
 			}
-			if _, err := s.Get(Key{Shuffle: 1, MapPart: 0}); err != nil {
+			if _, err := flatView(s, Key{Shuffle: 1, MapPart: 0}); err != nil {
 				t.Fatalf("surviving shuffle unreadable: %v", err)
 			}
 			if err := s.Reset(); err != nil {
@@ -255,16 +281,16 @@ func TestSpillStoreSpillsAndReloads(t *testing.T) {
 
 	// Every output reads back intact, flat and bucketed, spilled or not.
 	for m := 0; m < 3; m++ {
-		got, err := s.Get(Key{Shuffle: 0, MapPart: m})
-		if err != nil {
-			t.Fatalf("Get map %d: %v", m, err)
+		var got []rdd.Pair
+		shards, err := s.Shards(Key{Shuffle: 0, MapPart: m}, func(recs []rdd.Pair) ([][]rdd.Pair, error) {
+			got = recs
+			return modBucket(4)(recs)
+		})
+		if err != nil || len(shards) != 4 {
+			t.Fatalf("Shards map %d = (%v, %v)", m, shards, err)
 		}
 		if want := records(32, fmt.Sprintf("g%d", m)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("map %d reloaded records diverge", m)
-		}
-		shards, err := s.Shards(Key{Shuffle: 0, MapPart: m}, modBucket(4))
-		if err != nil || len(shards) != 4 {
-			t.Fatalf("Shards map %d = (%v, %v)", m, shards, err)
 		}
 	}
 	st = s.Accountant().Stats()
@@ -320,15 +346,25 @@ func TestSpillStoreMatchesMemStore(t *testing.T) {
 		t.Fatal("budget 1 produced no spills")
 	}
 	for m := 0; m < 5; m++ {
-		wantFlat, err1 := mem.Get(Key{MapPart: m})
-		gotFlat, err2 := spill.Get(Key{MapPart: m})
+		var wantFlat, gotFlat []rdd.Pair
+		want, err1 := mem.Shards(Key{MapPart: m}, func(recs []rdd.Pair) ([][]rdd.Pair, error) {
+			wantFlat = recs
+			return modBucket(3)(recs)
+		})
+		got, err2 := spill.Shards(Key{MapPart: m}, func(recs []rdd.Pair) ([][]rdd.Pair, error) {
+			gotFlat = recs
+			return modBucket(3)(recs)
+		})
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(gotFlat, wantFlat) {
 			t.Fatalf("map %d flat views diverge (%v, %v)", m, err1, err2)
 		}
-		want, err1 := mem.Shards(Key{MapPart: m}, modBucket(3))
-		got, err2 := spill.Shards(Key{MapPart: m}, modBucket(3))
-		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("map %d shards diverge (%v, %v)", m, err1, err2)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("map %d shards diverge", m)
+		}
+		wantKeys, err1 := mem.Sample(Key{MapPart: m})
+		gotKeys, err2 := spill.Sample(Key{MapPart: m})
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(gotKeys, wantKeys) {
+			t.Fatalf("map %d samples diverge (%v, %v)", m, err1, err2)
 		}
 	}
 }
@@ -337,6 +373,132 @@ func TestNewSpillStoreRejectsNonPositiveBudget(t *testing.T) {
 	for _, budget := range []int64{0, -5} {
 		if _, err := NewSpillStore(SpillConfig{MemoryBudget: budget}, nil); err == nil {
 			t.Fatalf("budget %d accepted", budget)
+		}
+	}
+}
+
+// TestSample checks Store.Sample equals rdd.SampleKeys of the records
+// Put in every state an output passes through, for both stores. The
+// spill store runs under a 1-byte budget, so each Put spills every other
+// output, and Sample must never reload one.
+func TestSample(t *testing.T) {
+	const n = 2500 // over rdd.SampleSize, so the sample is strided
+	key := Key{Shuffle: 4, MapPart: 1}
+	other := Key{Shuffle: 5}
+	sampleOf := func(recs []rdd.Pair) []string { return rdd.SampleKeys(recs, rdd.SampleSize) }
+	put := func(t *testing.T, s Store, k Key, out Output) {
+		t.Helper()
+		if _, _, err := s.Put(k, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name    string
+		spilled bool // the output sits on disk in the spill store
+		// run drives s into the state under test and returns the flat
+		// records the sample must be taken from (nil: want ErrNotFound;
+		// empty: want no keys).
+		run func(t *testing.T, s Store) []rdd.Pair
+	}{
+		{"resident", false, func(t *testing.T, s Store) []rdd.Pair {
+			recs := records(n, "a")
+			put(t, s, key, Output{Records: recs})
+			return recs
+		}},
+		{"spilled", true, func(t *testing.T, s Store) []rdd.Pair {
+			recs := records(n, "a")
+			put(t, s, key, Output{Records: recs})
+			put(t, s, other, Output{Records: records(3, "o")})
+			return recs
+		}},
+		{"bucketed", false, func(t *testing.T, s Store) []rdd.Pair {
+			recs := records(n, "a")
+			put(t, s, key, Output{Records: recs})
+			if _, err := s.Shards(key, modBucket(3)); err != nil {
+				t.Fatal(err)
+			}
+			return recs
+		}},
+		{"bucketed then spilled", true, func(t *testing.T, s Store) []rdd.Pair {
+			recs := records(n, "a")
+			put(t, s, key, Output{Records: recs})
+			if _, err := s.Shards(key, modBucket(3)); err != nil {
+				t.Fatal(err)
+			}
+			put(t, s, other, Output{Records: records(3, "o")})
+			return recs
+		}},
+		{"stored bucketed has none", true, func(t *testing.T, s Store) []rdd.Pair {
+			shards, _ := modBucket(3)(records(n, "a"))
+			put(t, s, key, Output{Shards: shards})
+			put(t, s, other, Output{Records: records(3, "o")})
+			return []rdd.Pair{}
+		}},
+		{"stale attempt keeps the sample", false, func(t *testing.T, s Store) []rdd.Pair {
+			recs := records(n, "new")
+			put(t, s, key, Output{Attempt: 2, Records: recs})
+			put(t, s, key, Output{Attempt: 1, Records: records(n/2, "old")})
+			return recs
+		}},
+		{"newer attempt replaces the sample", false, func(t *testing.T, s Store) []rdd.Pair {
+			put(t, s, key, Output{Attempt: 1, Records: records(n, "old")})
+			put(t, s, other, Output{Records: records(3, "o")})
+			recs := records(n/2, "new")
+			put(t, s, key, Output{Attempt: 2, Records: recs})
+			return recs
+		}},
+		{"empty", false, func(t *testing.T, s Store) []rdd.Pair {
+			put(t, s, key, Output{Records: []rdd.Pair{}})
+			return []rdd.Pair{}
+		}},
+		{"dropped shuffle", false, func(t *testing.T, s Store) []rdd.Pair {
+			put(t, s, key, Output{Records: records(n, "a")})
+			put(t, s, other, Output{Records: records(3, "o")})
+			if err := s.DropShuffle(key.Shuffle); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Sample(other); err != nil {
+				t.Fatalf("surviving shuffle lost its sample: %v", err)
+			}
+			return nil
+		}},
+		{"reset", false, func(t *testing.T, s Store) []rdd.Pair {
+			put(t, s, key, Output{Records: records(n, "a")})
+			put(t, s, other, Output{Records: records(3, "o")})
+			if err := s.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		for name, s := range stores(t, 1) {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				defer func() { _ = s.Reset() }()
+				recs := tc.run(t, s)
+				got, err := s.Sample(key)
+				if recs == nil {
+					if !errors.Is(err, ErrNotFound) {
+						t.Fatalf("Sample = (%d keys, %v), want ErrNotFound", len(got), err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ss, ok := s.(*SpillStore); ok && ss.outputs[key].spilled != tc.spilled {
+					t.Fatalf("output spilled = %v, want %v", ss.outputs[key].spilled, tc.spilled)
+				}
+				if len(got) > 0 && unsafe.StringData(got[0]) == unsafe.StringData(recs[0].Key) {
+					t.Fatal("sample shares its keys' memory with the stored records")
+				}
+				if want := sampleOf(recs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Sample = %d keys, want SampleKeys' %d (first %q vs %q)", len(got), len(want), got[:min(1, len(got))], want[:min(1, len(want))])
+				}
+				if st := s.Accountant().Stats(); st.ReloadEvents != 0 {
+					t.Fatalf("Sample path reloaded %d outputs: %+v", st.ReloadEvents, st)
+				}
+			})
 		}
 	}
 }

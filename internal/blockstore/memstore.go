@@ -7,37 +7,14 @@ import (
 )
 
 // memEntry is one stored output. Exactly one of flat or shards is
-// non-nil; bytes is the estimated resident size either way.
+// non-nil; bytes is the estimated resident size either way, and sample is
+// the barrier key sample taken at Put.
 type memEntry struct {
 	attempt int
 	flat    []rdd.Pair
 	shards  [][]rdd.Pair
+	sample  []string
 	bytes   int64
-}
-
-// flatten returns the entry's flat record view.
-func (e *memEntry) flatten() []rdd.Pair {
-	if e.shards == nil {
-		return e.flat
-	}
-	return concatShards(e.shards)
-}
-
-// concatShards joins shards into one flat record list, allocated once;
-// nil when every shard is empty.
-func concatShards(shards [][]rdd.Pair) []rdd.Pair {
-	n := 0
-	for _, shard := range shards {
-		n += len(shard)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]rdd.Pair, 0, n)
-	for _, shard := range shards {
-		out = append(out, shard...)
-	}
-	return out
 }
 
 // MemStore is the fully resident Store: every output stays in memory, the
@@ -60,7 +37,7 @@ func NewMemStore(acct *Accountant) *MemStore {
 
 // Put implements Store.
 func (s *MemStore) Put(key Key, out Output) (stored, dup bool, err error) {
-	e := &memEntry{attempt: out.Attempt, flat: out.Records, shards: out.Shards, bytes: out.bytes()}
+	e := &memEntry{attempt: out.Attempt, flat: out.Records, shards: out.Shards, sample: out.sample(), bytes: out.bytes()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.outputs[key]
@@ -77,15 +54,15 @@ func (s *MemStore) Put(key Key, out Output) (stored, dup bool, err error) {
 	return true, false, nil
 }
 
-// Get implements Store.
-func (s *MemStore) Get(key Key) ([]rdd.Pair, error) {
+// Sample implements Store.
+func (s *MemStore) Sample(key Key) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.outputs[key]
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return e.flatten(), nil
+	return e.sample, nil
 }
 
 // Shards implements Store.

@@ -24,11 +24,13 @@ type SpillConfig struct {
 
 // spillEntry is one stored output, resident or on disk. While resident,
 // exactly one of flat/shards is non-nil; while spilled, both are nil and
-// path names the file holding its encoding (see encodeSpill).
+// path names the file holding its encoding (see encodeSpill). sample, the
+// barrier key sample taken at Put, stays resident either way.
 type spillEntry struct {
 	attempt int
 	flat    []rdd.Pair
 	shards  [][]rdd.Pair
+	sample  []string
 	bytes   int64
 	lastUse uint64
 	spilled bool
@@ -76,7 +78,7 @@ func (s *SpillStore) touchLocked(e *spillEntry) {
 
 // Put implements Store.
 func (s *SpillStore) Put(key Key, out Output) (stored, dup bool, err error) {
-	e := &spillEntry{attempt: out.Attempt, flat: out.Records, shards: out.Shards, bytes: out.bytes()}
+	e := &spillEntry{attempt: out.Attempt, flat: out.Records, shards: out.Shards, sample: out.sample(), bytes: out.bytes()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.outputs[key]
@@ -93,21 +95,15 @@ func (s *SpillStore) Put(key Key, out Output) (stored, dup bool, err error) {
 	return true, dup, s.enforceBudgetLocked(e)
 }
 
-// Get implements Store.
-func (s *SpillStore) Get(key Key) ([]rdd.Pair, error) {
+// Sample implements Store. It never reloads a spilled output.
+func (s *SpillStore) Sample(key Key) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.outputs[key]
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if err := s.ensureResidentLocked(e); err != nil {
-		return nil, err
-	}
-	if e.shards == nil {
-		return e.flat, nil
-	}
-	return concatShards(e.shards), nil
+	return e.sample, nil
 }
 
 // Shards implements Store.

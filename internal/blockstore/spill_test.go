@@ -64,7 +64,7 @@ func TestSpillRoundTripsEveryValueType(t *testing.T) {
 	if filepath.Ext(e.path) != ".rec" {
 		t.Fatalf("spill file %s, want a .rec file", e.path)
 	}
-	got, err := s.Get(key)
+	got, err := flatView(s, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestSpillRejectsUnsupportedValues(t *testing.T) {
 		t.Fatalf("spilling an int64 value: err = %v, want one naming int64", err)
 	}
 	// The output that failed to spill stays resident and readable.
-	if got, err := s.Get(bad); err != nil || len(got) != 1 {
-		t.Fatalf("Get after failed spill = (%v, %v)", got, err)
+	if got, err := flatView(s, bad); err != nil || len(got) != 1 {
+		t.Fatalf("read after failed spill = (%v, %v)", got, err)
 	}
 }
 
@@ -126,7 +126,7 @@ func FuzzSpillReload(f *testing.F) {
 		if err := os.WriteFile(e.path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Get(key)
+		got, err := flatView(s, key)
 		if err != nil {
 			if !errors.Is(err, rdd.ErrCorrupt) {
 				t.Fatalf("error %v does not wrap rdd.ErrCorrupt", err)
@@ -137,7 +137,7 @@ func FuzzSpillReload(f *testing.F) {
 		// encodings compare NaN values bit for bit.
 		want, shards, _ := decodeSpill(data)
 		if shards != nil {
-			want = concatShards(shards)
+			want = concat(shards)
 		}
 		wantEnc, _ := rdd.EncodeRecords(want)
 		gotEnc, _ := rdd.EncodeRecords(got)

@@ -226,12 +226,17 @@ func TestMapOutputs(t *testing.T) {
 	}
 }
 
-// mustGet returns one stored output's flat records.
+// mustGet returns one stored output's records: its shards, bucketed by
+// the shuffle's own partitioner, joined in shard order.
 func mustGet(t *testing.T, m *mapOutputs, id, mapPart int) []rdd.Pair {
 	t.Helper()
-	recs, err := m.store.Get(blockstore.Key{Shuffle: id, MapPart: mapPart})
+	shards, err := m.store.Shards(blockstore.Key{Shuffle: id, MapPart: mapPart}, m.shuffle(id).bucket)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var recs []rdd.Pair
+	for _, shard := range shards {
+		recs = append(recs, shard...)
 	}
 	return recs
 }

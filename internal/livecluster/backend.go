@@ -203,7 +203,7 @@ func (r *liveRun) Barrier(st *dag.Stage) error {
 		if err != nil {
 			return err
 		}
-		keys, err := r.c.sampleKeys(r.c.workers[om.site].addr, spec.ID, m, 1000, r.stats)
+		keys, err := r.c.sampleKeys(r.c.workers[om.site].addr, spec.ID, m, rdd.SampleSize, r.stats)
 		if err != nil {
 			return err
 		}
@@ -242,7 +242,8 @@ func (r *liveRun) OnPlacement(d obs.PlacementDecision) {
 // reader builds the ShuffleReader tasks at one worker gather their shuffle
 // input through: every map output's shard is fetched over TCP from its
 // holder (aggregator or mapper), serially in map order so gathered records
-// arrive deterministically. Fetch spans carry the reading stage's ID and
+// arrive deterministically, and the decoded chunks are joined once into an
+// exactly sized input. Fetch spans carry the reading stage's ID and
 // nest under the consuming task (parent); the fetch span's own ID rides
 // the wire so each holder's serve span nests under it. lastFetch tracks
 // when the task's final fetch completed, so callers can start the compute
@@ -254,7 +255,8 @@ func (r *liveRun) reader(site, stage int, parent trace.SpanID, lastFetch *float6
 		r.mu.Unlock()
 		t0 := r.since()
 		fetchID := r.c.ids.Next()
-		var out []rdd.Pair
+		var chunks [][]rdd.Pair
+		n := 0
 		srcBytes := map[int]float64{}
 		for m := 0; m < numMaps; m++ {
 			om, err := r.holderOf(spec.ID, m)
@@ -266,8 +268,15 @@ func (r *liveRun) reader(site, stage int, parent trace.SpanID, lastFetch *float6
 			if err != nil {
 				return nil, err
 			}
-			srcBytes[om.site] += rdd.SizeOfAll(shard)
-			out = append(out, shard...)
+			for _, ch := range shard {
+				srcBytes[om.site] += rdd.SizeOfAll(ch)
+				n += len(ch)
+			}
+			chunks = append(chunks, shard...)
+		}
+		out := make([]rdd.Pair, 0, n)
+		for _, ch := range chunks {
+			out = append(out, ch...)
 		}
 		// Attribute the fetch to its dominant source by bytes (ties break
 		// toward the lower worker index, for determinism).

@@ -3,6 +3,7 @@ package livecluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +119,15 @@ func streamCluster(t *testing.T, cfg Config, reduces int) (*Cluster, *Stats) {
 	return c, &Stats{Events: obs.NewCollector(), TrafficMatrix: matrix, BytesByClass: map[string]int64{}}
 }
 
+// joinChunks flattens a fetch's decoded chunks in order.
+func joinChunks(chunks [][]rdd.Pair) []rdd.Pair {
+	var out []rdd.Pair
+	for _, ch := range chunks {
+		out = append(out, ch...)
+	}
+	return out
+}
+
 // TestChunkedPushFetchRoundTrip drives the full wire path — chunked push
 // to a receiver, chunked fetch of every reduce shard back — across chunk
 // boundaries and codecs, and checks byte conservation each time.
@@ -148,11 +158,11 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 			}
 			var out []rdd.Pair
 			for r := 0; r < reduces; r++ {
-				shard, err := w0.fetch(w1.addr, 7, 0, r, stats, spanCtx{})
+				chunks, err := w0.fetch(w1.addr, 7, 0, r, stats, spanCtx{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				out = append(out, shard...)
+				out = append(out, joinChunks(chunks)...)
 			}
 			if canon(out) != canon(in) {
 				t.Fatal("push/fetch round-trip diverges")
@@ -216,7 +226,7 @@ func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	if _, err := w0.fetch(w1.addr, 9, 0, 0, stats, spanCtx{}); err == nil {
 		t.Fatal("fetch succeeded before the range partitioner was prepared")
 	}
-	keys, err := c.sampleKeys(w1.addr, 9, 0, 1000, stats)
+	keys, err := c.sampleKeys(w1.addr, 9, 0, rdd.SampleSize, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +234,12 @@ func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	var out []rdd.Pair
 	for r := 0; r < reduces; r++ {
 		for i := 0; i < 3; i++ {
-			shard, err := w0.fetch(w1.addr, 9, 0, r, stats, spanCtx{})
+			chunks, err := w0.fetch(w1.addr, 9, 0, r, stats, spanCtx{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if i == 0 {
-				out = append(out, shard...)
+				out = append(out, joinChunks(chunks)...)
 			}
 		}
 	}
@@ -238,6 +248,72 @@ func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	}
 	if n := w1.bucketBuilds.Load(); n != 1 {
 		t.Fatalf("flat output bucketed %d times, want exactly once", n)
+	}
+}
+
+// TestBarrierSamplingNeverReloads samples range-partitioned outputs that
+// all sit spilled on disk: the samples the store took at Put must answer
+// the barrier without a single reload, and must equal what sampling the
+// records would give. The fetches that follow do reload.
+func TestBarrierSamplingNeverReloads(t *testing.T) {
+	const reduces, maps = 3, 4
+	c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 8, MemoryBudget: 1, SpillDir: t.TempDir()}, reduces)
+	rp := rdd.NewRangePartitioner(reduces)
+	c.specs.Store(9, &rdd.ShuffleSpec{ID: 9, Partitioner: rp, SampleForRange: true})
+	w0, w1 := c.workers[0], c.workers[1]
+	ins := make([][]rdd.Pair, maps)
+	for m := range ins {
+		ins[m] = pairs(1500 + 300*m)[300*m:]
+		if err := w0.push(w1.addr, 9, m, 1, ins[m], stats, spanCtx{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One more output pushes the last range output out of the budget too.
+	if err := w0.push(w1.addr, 7, 0, 1, pairs(10), stats, spanCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	before := w1.store.Accountant().Stats()
+	if before.SpilledOutputs != maps {
+		t.Fatalf("%d outputs spilled, want all %d range outputs: %+v", before.SpilledOutputs, maps, before)
+	}
+	var sample []string
+	for m := range ins {
+		keys, err := c.sampleKeys(w1.addr, 9, m, rdd.SampleSize, stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := rdd.SampleKeys(ins[m], rdd.SampleSize); !slices.Equal(keys, want) {
+			t.Fatalf("map %d: sample of %d keys differs from SampleKeys' %d", m, len(keys), len(want))
+		}
+		sample = append(sample, keys...)
+	}
+	if after := w1.store.Accountant().Stats(); after.ReloadEvents != before.ReloadEvents {
+		t.Fatalf("barrier sampling reloaded %d spilled outputs, want none", after.ReloadEvents-before.ReloadEvents)
+	}
+	if _, err := c.sampleKeys(w1.addr, 9, 0, 10, stats); err == nil {
+		t.Fatal("sample request for 10 keys answered with the stored sample's size")
+	}
+	if _, err := c.sampleKeys(w1.addr, 9, maps, rdd.SampleSize, stats); err == nil {
+		t.Fatal("sample of a missing output succeeded")
+	}
+
+	rp.Prepare(sample)
+	var out, in []rdd.Pair
+	for m := range ins {
+		in = append(in, ins[m]...)
+		for r := 0; r < reduces; r++ {
+			chunks, err := w0.fetch(w1.addr, 9, m, r, stats, spanCtx{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, joinChunks(chunks)...)
+		}
+	}
+	if canon(out) != canon(in) {
+		t.Fatal("range-partitioned round-trip diverges")
+	}
+	if w1.store.Accountant().Stats().ReloadEvents == before.ReloadEvents {
+		t.Fatal("fetching spilled outputs recorded no reloads; the test is not exercising spill")
 	}
 }
 
@@ -252,10 +328,11 @@ func TestDuplicatePushesIdempotent(t *testing.T) {
 	}
 	fetchOne := func() string {
 		t.Helper()
-		out, err := w0.fetch(w1.addr, 7, 0, 0, stats, spanCtx{})
+		chunks, err := w0.fetch(w1.addr, 7, 0, 0, stats, spanCtx{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		out := joinChunks(chunks)
 		if len(out) != 1 {
 			t.Fatalf("fetched %d records, want 1", len(out))
 		}
@@ -298,11 +375,11 @@ func TestStalePooledConnectionRetriedOnce(t *testing.T) {
 		_ = conn.Close()
 	}
 	w1.mu.Unlock()
-	out, err := w0.fetch(w1.addr, 7, 0, 0, stats, spanCtx{})
+	chunks, err := w0.fetch(w1.addr, 7, 0, 0, stats, spanCtx{})
 	if err != nil {
 		t.Fatalf("exchange on stale pooled connection not recovered: %v", err)
 	}
-	if len(out) != 6 {
+	if out := joinChunks(chunks); len(out) != 6 {
 		t.Fatalf("recovered fetch returned %d records, want 6", len(out))
 	}
 	if stats.Dials <= dialsBefore {

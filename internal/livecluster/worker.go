@@ -504,13 +504,22 @@ func (w *worker) install(shuffleID, mapPart int, out blockstore.Output) error {
 	return nil
 }
 
-// handleSample serves a key-sample request out of the stored flat records.
+// handleSample serves a key-sample request with the sample the block
+// store took when the output was stored, so the map barrier never reloads
+// a spilled output. The store samples rdd.SampleSize keys; other sizes are
+// refused rather than silently answered with that size.
 func (w *worker) handleSample(req *request) *response {
-	records, err := w.stored(req.ShuffleID, req.MapPart)
+	if req.Max != rdd.SampleSize {
+		return &response{Err: fmt.Sprintf("worker %d: sample size %d, want %d", w.id, req.Max, rdd.SampleSize)}
+	}
+	keys, err := w.store.Sample(blockstore.Key{Shuffle: req.ShuffleID, MapPart: req.MapPart})
+	if errors.Is(err, blockstore.ErrNotFound) {
+		err = fmt.Errorf("worker %d: no output for shuffle %d map %d", w.id, req.ShuffleID, req.MapPart)
+	}
 	if err != nil {
 		return &response{Err: err.Error()}
 	}
-	return &response{Keys: rdd.SampleKeys(records, req.Max)}
+	return &response{Keys: keys}
 }
 
 // streamFetch serves one reduce shard as a chunk stream. Errors travel in
@@ -575,17 +584,6 @@ func (w *worker) resetRun() {
 }
 
 func (w *worker) storedOutputs() int { return w.store.Len() }
-
-// stored returns a map output's flat records for sampling. Sampling runs
-// at the map barrier, before range partitioners are prepared, so sampled
-// outputs are still flat; bucketed outputs flatten in shard order.
-func (w *worker) stored(shuffleID, mapPart int) ([]rdd.Pair, error) {
-	recs, err := w.store.Get(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart})
-	if errors.Is(err, blockstore.ErrNotFound) {
-		return nil, fmt.Errorf("worker %d: no output for shuffle %d map %d", w.id, shuffleID, mapPart)
-	}
-	return recs, err
-}
 
 // bucketFn builds the store's BucketFunc for one shuffle: resolve the
 // spec, require a ready partitioner, and count the deferred whole-output
@@ -717,11 +715,13 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 	return nil
 }
 
-// fetch pulls one (map, reduce) shard from its holder as a chunk stream.
-// sc parents the holder's serve span under the requesting fetch span.
-func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats, sc spanCtx) ([]rdd.Pair, error) {
+// fetch pulls one (map, reduce) shard from its holder as a chunk stream
+// and returns its decoded chunks in order, unjoined: the reader gathers a
+// whole reduce input at once. sc parents the holder's serve span under
+// the requesting fetch span.
+func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats, sc spanCtx) ([][]rdd.Pair, error) {
 	sink := w.sink(stats)
-	var out []rdd.Pair
+	var out [][]rdd.Pair
 	var nchunks int64
 	err := w.pool.exchange(addr, sink, w.id, w.cluster.siteOfAddr(addr), "shuffle", func(pc *pooledConn) (int64, error) {
 		out, nchunks = nil, 0 // reset on transparent retry
@@ -747,7 +747,7 @@ func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats
 			if err != nil {
 				return 0, err
 			}
-			out = append(out, records...)
+			out = append(out, records)
 			savings += ch.savings()
 			nchunks++
 		}

@@ -34,14 +34,19 @@ func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
 	if node.Deps[0].Kind == rdd.DepShuffle {
 		// A shuffle boundary: gather every dep's shard for this partition,
 		// then apply the reduce-side semantics once (cogroup deps agree on
-		// aggregation, as in rdd.EvalLocal).
+		// aggregation, as in rdd.EvalLocal). A single dep's shard passes
+		// through uncopied: ReduceAggregate never modifies its input.
 		var recs []rdd.Pair
 		for di := range node.Deps {
 			shard, err := read(node.Deps[di].Shuffle, part)
 			if err != nil {
 				return nil, err
 			}
-			recs = append(recs, shard...)
+			if len(node.Deps) == 1 {
+				recs = shard
+			} else {
+				recs = append(recs, shard...)
+			}
 		}
 		agg := rdd.ReduceAggregate(node.Deps[0].Shuffle, recs)
 		if node.PostShuffle != nil {

@@ -157,20 +157,20 @@ func (b *MemBackend) Barrier(st *dag.Stage) error {
 // PrepareRange is the map-stage barrier's sampling step for
 // range-partitioned shuffles (Spark's sortByKey sampling, which the
 // paper's Fig. 3 shows happening before reducers fetch their shards): it
-// samples keys from the flat outputs of map partitions [0, numMaps) in
-// store and prepares spec's partitioner from them. Other shuffles, and a
-// partitioner already prepared, are left alone.
+// gathers the key samples the store took when map partitions [0, numMaps)
+// were put, in map order, and prepares spec's partitioner from them.
+// Other shuffles, and a partitioner already prepared, are left alone.
 func PrepareRange(spec *rdd.ShuffleSpec, store blockstore.Store, numMaps int) error {
 	if !spec.SampleForRange || spec.Partitioner.Ready() {
 		return nil
 	}
 	var sample []string
 	for part := 0; part < numMaps; part++ {
-		recs, err := store.Get(blockstore.Key{Shuffle: spec.ID, MapPart: part})
+		keys, err := store.Sample(blockstore.Key{Shuffle: spec.ID, MapPart: part})
 		if err != nil {
 			return fmt.Errorf("plan: sampling shuffle %d map %d: %w", spec.ID, part, err)
 		}
-		sample = append(sample, rdd.SampleKeys(recs, 1000)...)
+		sample = append(sample, keys...)
 	}
 	spec.Partitioner.(*rdd.RangePartitioner).Prepare(sample)
 	return nil

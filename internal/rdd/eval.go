@@ -69,7 +69,7 @@ func (e *localEval) evalShuffle(r *RDD) [][]Pair {
 			var sample []string
 			for _, part := range parent {
 				prepared := MapSidePrepare(spec, part)
-				sample = append(sample, SampleKeys(prepared, 1000)...)
+				sample = append(sample, SampleKeys(prepared, SampleSize)...)
 			}
 			spec.Partitioner.(*RangePartitioner).Prepare(sample)
 		}
